@@ -96,20 +96,17 @@ def flatten(artifact: dict) -> Dict[Tuple[str, str], float]:
                     if metric in cell:
                         rows[(key, "%s.%s" % (engine, metric))] = \
                             cell[metric]
-            for metric in ("fast_speedup_vs_interpreted",
-                           "codegen_speedup_vs_interpreted",
-                           "codegen_speedup_vs_fast",
+            for metric in ("codegen_speedup_vs_interpreted",
                            "fast_fraction_of_ceiling"):
                 if metric in workload:
                     rows[(key, metric)] = workload[metric]
             selection = workload.get("selection")
             if selection is not None:
-                # 1.0 when auto selection lands on the fast tier; the
-                # "fraction" fragment makes a 1 -> 0 move (a workload
-                # dropping off the fast tier) a flagged regression.
+                # 1.0 when auto selection lands on the compiled tier;
+                # the "fraction" fragment makes a 1 -> 0 move (a
+                # workload dropping off it) a flagged regression.
                 rows[(key, "selection.fast_tier_fraction")] = (
-                    1.0 if selection.get("tier") in ("codegen", "fast")
-                    else 0.0)
+                    1.0 if selection.get("tier") == "codegen" else 0.0)
         elif kind == "memory-accounting":
             key = "%s/%s/%s@%s" % (
                 workload.get("figure", "?"), workload.get("dataset", "?"),

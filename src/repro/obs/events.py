@@ -18,8 +18,8 @@ result is a replayable record of the paper's Section 4.3 machinery:
   run pinpoints nondeterministic closure bugs to a single operation.
 
 ``EventTrace`` is a ``BufferTrace`` subclass, so everything that accepts
-the old class (both engines' ``trace=True`` path, the worked-example
-tests) accepts it unchanged.
+the old class (the runtimes' queues, the worked-example tests) accepts
+it unchanged.
 """
 
 from __future__ import annotations

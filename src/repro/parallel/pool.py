@@ -391,7 +391,7 @@ class TaskPool:
 
             if result_queue.empty():
                 self._check_liveness(done_workers, chunk_owner,
-                                     chunk_pending, labels)
+                                     chunk_pending, labels, result_queue)
                 time.sleep(self.poll_interval)
                 if result_queue.empty():
                     continue
@@ -442,12 +442,21 @@ class TaskPool:
                     worker_id=worker_id, traceback_text=trace)
 
     def _check_liveness(self, done_workers, chunk_owner, chunk_pending,
-                        labels) -> None:
+                        labels, result_queue) -> None:
         """A dead worker that never said goodbye is a crash, attributed
-        to the first unfinished source of the chunk it held."""
+        to the first unfinished source of the chunk it held.
+
+        A worker can write its ``done`` message and exit between the
+        caller's ``result_queue.empty()`` test and this check.  The
+        ``SimpleQueue`` write is synchronous, so a dead worker's last
+        messages are already in the pipe: while the queue holds
+        anything, return and let the caller drain it first.
+        """
         for worker_id, process in enumerate(self._processes):
             if worker_id in done_workers or process.is_alive():
                 continue
+            if not result_queue.empty():
+                return
             source = None
             for chunk_id, owner in chunk_owner.items():
                 if owner != worker_id:

@@ -1,17 +1,15 @@
-"""Generated per-plan kernels: the fast path's codegen tier.
+"""Generated per-plan kernels: the fast path's only loop.
 
-The slot interpreter (:meth:`repro.xsq.fastpath.FastRuntime.run_batch`)
-is already closure-lowered, but it still pays per-event costs that are
-a function of the *plan*, not the data: dict lookups into the
-transition rows, tuple unpacking of ``(watches, match)`` entries, loops
-over watch/test tuples, and bound-method dispatch for every result.
-This module freezes those too, the way "Scalable XSLT Evaluation"
-compiles its plan to code: each :class:`~repro.xsq.fastpath.FastPlan`
-is lowered to one *generated, closure-free dispatch function* — states
-and tag ids baked in as ``int`` constants, predicate tests inlined as
-direct calls, result buffering unrolled — compiled once with
-``compile()``/``exec`` and memoized on the plan (``plan.kernel``), so
-it rides the process-wide HPDT compile cache exactly like the tables.
+A :class:`~repro.xsq.fastpath.FastPlan` still describes per-event work
+as data: dict lookups into the transition rows, tuple unpacking of
+``(watches, match)`` entries, loops over watch/test tuples.  This
+module freezes that data into code, the way "Scalable XSLT Evaluation"
+compiles its plan: each plan is lowered to one *generated,
+closure-free dispatch function* — states and tag ids baked in as
+``int`` constants, predicate tests inlined as direct calls, result
+buffering unrolled — compiled once with ``compile()``/``exec`` and
+memoized on the plan (``plan.kernel``), so it rides the process-wide
+HPDT compile cache exactly like the tables.
 
 Three specializations are selected automatically:
 
@@ -32,20 +30,20 @@ Three specializations are selected automatically:
   (that is where documents spend their events), and predicate-free
   states sharing one pre-resolved instance instead of allocating.
 
+Generation is total: every plan gets a kernel.  The per-state and
+per-tag-id dispatch is emitted as *flat* blocks — ``if matched == m:
+...; continue`` and ``if tid == t: ...; continue`` — never as nested
+``elif`` chains, so the generated AST's depth is constant in the plan
+size and ``compile()`` accepts thousands of states or row entries.
+
 The kernel is bound as the *runtime instance's* ``run_batch`` (see
 :class:`~repro.xsq.fastpath.FastRuntime`), so the pull loop, push
 handles (``xsq serve``), ``iter_results`` and the sampling profiler all
 execute it; automaton state (``matched``, capture buffers, peaks) is
 loaded at entry and stored at exit of every call, which keeps
 single-tuple profiler sampling and arbitrary push-mode batch splits
-semantically identical to one big batch.
-
-Kernels are rejected — ``compile_kernel`` returns ``(None, reason)``
-and the engine falls back to the slot interpreter, never to an
-interpreted engine — only for degenerate plan shapes (very deep paths
-or very wide transition rows) where the unrolled source would be large
-for no benefit.  The generated source is kept on the function
-(``fn.__xsq_source__``) for inspection and tests.
+semantically identical to one big batch.  The generated source is kept
+on the function (``fn.__xsq_source__``) for inspection and tests.
 """
 
 from __future__ import annotations
@@ -55,29 +53,18 @@ from typing import Callable, List, Optional, Tuple
 from repro.streaming.serialize import begin_tag, escape_text
 from repro.xsq.matcher import Chain, PredicateInstance
 
-#: Rejection thresholds: beyond these the unrolled dispatch chains stop
-#: resembling straight-line code and the slot interpreter is the better
-#: tier.  Far above anything the paper's workloads (or datagen) produce.
-MAX_STATES = 24
-MAX_ROW_ENTRIES = 256
 
-
-def compile_kernel(plan) -> Tuple[Optional[Callable], str]:
+def compile_kernel(plan) -> Tuple[Callable, str]:
     """Lower ``plan`` to a generated kernel; memoized on the plan.
 
     Returns ``(fn, note)``: ``fn`` is the kernel (an unbound function
     taking ``(self, batch)``, to be bound to a
-    :class:`~repro.xsq.fastpath.FastRuntime`) or ``None`` when codegen
-    rejected the plan, and ``note`` says which — surfaced by
-    ``.explain()``.
+    :class:`~repro.xsq.fastpath.FastRuntime`) and ``note`` describes
+    its shape — surfaced by ``.explain()``.
     """
     cached = plan.kernel
     if cached is not None:
         return cached
-    reason = _reject_reason(plan)
-    if reason is not None:
-        plan.kernel = (None, reason)
-        return plan.kernel
     source, namespace, flavor = _generate(plan)
     code = compile(source, "<xsq-kernel %s>" % plan.query.text, "exec")
     exec(code, namespace)
@@ -89,22 +76,10 @@ def compile_kernel(plan) -> Tuple[Optional[Callable], str]:
     return plan.kernel
 
 
-def kernel_source(plan) -> Optional[str]:
-    """The generated source for ``plan``'s kernel, if one exists."""
+def kernel_source(plan) -> str:
+    """The generated source for ``plan``'s kernel."""
     fn, _note = compile_kernel(plan)
-    return None if fn is None else fn.__xsq_source__
-
-
-def _reject_reason(plan) -> Optional[str]:
-    if plan.n + 1 > MAX_STATES:
-        return ("codegen rejected: %d states exceeds the unroll limit "
-                "(%d)" % (plan.n + 1, MAX_STATES))
-    entries = sum(len(row) for row in plan.begin_named) \
-        + sum(len(row) for row in plan.child_text_named)
-    if entries > MAX_ROW_ENTRIES:
-        return ("codegen rejected: %d transition-row entries exceeds "
-                "the unroll limit (%d)" % (entries, MAX_ROW_ENTRIES))
-    return None
+    return fn.__xsq_source__
 
 
 class _Emitter:
@@ -202,13 +177,13 @@ def _generate(plan):
         w(4, "continue")
         # Deepest states first: most documents produce most of their
         # begin events far from the root, so the hot state should win
-        # the dispatch chain in one comparison.
+        # the dispatch in one comparison.  Each state is a flat block
+        # ending in ``continue`` (never an ``elif`` chain), which keeps
+        # the AST depth independent of the number of states.
         begin_states = [m for m in range(n + 1)
                         if plan.begin_named[m] or plan.begin_default[m]]
-        lead = "if"
         for m in reversed(begin_states):
-            w(3, "%s matched == %d:" % (lead, m))
-            lead = "elif"
+            w(3, "if matched == %d:" % m)
             _emit_begin_state(e, plan, m, simple, element)
 
     # -- END ---------------------------------------------------------------
@@ -245,10 +220,8 @@ def _generate(plan):
             w(4, "cap.append(_ESC(event[2]))")
         if text_states:
             w(3, "depth = event[3]")
-            lead = "if"
             for m, own, child in reversed(text_states):
-                w(3, "%s matched == %d:" % (lead, m))
-                lead = "elif"
+                w(3, "if matched == %d:" % m)
                 if own:
                     w(4, "if depth == %d:" % m)
                     _emit_text_own(e, plan, m, 5, simple)
@@ -258,12 +231,12 @@ def _generate(plan):
                 else:
                     w(4, "if depth == %d:" % (m + 1))
                     _emit_text_child(e, plan, m, 5)
+                w(4, "continue")
         elif not element:  # pragma: no cover - guarded by the outer if
             w(3, "pass")
 
     # -- epilogue ----------------------------------------------------------
     w(1, "self.matched = matched")
-    w(1, "self._live = matched")
     w(1, "self.peak_instances = peak")
     if element:
         w(1, "self._cap_parts = cap")
@@ -310,24 +283,24 @@ def _linear_expect(plan) -> Optional[tuple]:
 
 
 def _emit_begin_state(e, plan, m, simple, element):
-    """One ``matched == m`` begin branch: tid dispatch, watches, match."""
+    """One ``matched == m`` begin block: tid dispatch, watches, match.
+
+    Every entry ends the event with ``continue``, so the named tag
+    blocks stay flat and the default entry runs only for unnamed tags.
+    """
     w = e.w
     row = plan.begin_named[m]
     default = plan.begin_default[m]
     if row:
         w(4, "tid = event[1]")
-        lead = "if"
         for tid, (watches, match) in sorted(row.items()):
-            w(4, "%s tid == %d:" % (lead, tid))
-            lead = "elif"
+            w(4, "if tid == %d:" % tid)
             _emit_begin_entry(e, plan, m, watches, match, 5, simple, element)
-        if default is not None:
-            w(4, "else:")
-            _emit_begin_entry(e, plan, m, default[0], default[1], 5,
-                              simple, element)
-    else:
+            w(5, "continue")
+    if default is not None:
         _emit_begin_entry(e, plan, m, default[0], default[1], 4,
                           simple, element)
+    w(4, "continue")
 
 
 def _emit_begin_entry(e, plan, m, watches, match, ind, simple, element):
@@ -451,22 +424,24 @@ def _emit_text_child(e, plan, m, ind):
             w(ind + 2, "instance.witness(%d, self)" % pred_index)
 
     if named:
+        # Flat tag blocks, each ending the event (see _emit_begin_state).
         w(ind, "tid = event[1]")
-        lead = "if"
         for tid, entries in sorted(named.items()):
-            w(ind, "%s tid == %d:" % (lead, tid))
-            lead = "elif"
+            w(ind, "if tid == %d:" % tid)
             entries_block(entries, ind + 1)
-        if default:
-            w(ind, "else:")
-            entries_block(default, ind + 1)
-    elif default:
+            w(ind + 1, "continue")
+    if default:
         entries_block(default, ind)
 
 
 def _emit_make_item(e, plan, ind, value_expr, simple,
                     on_emit=None, value_ready=True):
-    """Inline ``FastRuntime._make_item`` at a result site."""
+    """Buffer one output unit against the single current embedding.
+
+    Inlined at each result site; matches ``_NCRuntime._make_item`` for
+    untracked queues (the only kind the fast path accepts): owner
+    ``(n, 0)``, one chain, governed = still-NA ancestor count.
+    """
     w = e.w
     n = plan.n
     if plan.schema_no_buffer:
@@ -482,7 +457,7 @@ def _emit_make_item(e, plan, ind, value_expr, simple,
         keywords += ", on_emit=" + on_emit
     if simple:
         # No instance is ever pending: output immediately, zero chains
-        # to wire (matches the interpreter's empty-pending branch).
+        # to wire (the NC runtime's empty-pending branch).
         w(ind, "item = new_item(%s, (%d, 0)%s, governed=0)"
           % (value_expr, n, keywords))
         w(ind, "item.live_chains = 1")

@@ -56,20 +56,25 @@ class Hpdt:
         self._build()
 
     def _build(self) -> None:
-        self.bpdts[(0, 0)] = Bpdt(None, (0, 0))
+        root = self.bpdts[(0, 0)] = Bpdt(None, (0, 0))
+        # Only the previous level spawns children, so each level walks
+        # its own frontier: linear in the number of BPDTs.
+        frontier = [((0, 0), root)]
         for level in range(1, self.depth + 1):
             step = self.query.steps[level - 1]
             lowest = level == self.depth
-            for (plevel, pk), parent in list(self.bpdts.items()):
-                if plevel != level - 1:
-                    continue
+            spawned = []
+            for (_plevel, pk), parent in frontier:
                 left_id = (level, 2 * pk + 1)
-                self.bpdts[left_id] = Bpdt(step, left_id,
-                                           is_output_layer=lowest)
+                left = Bpdt(step, left_id, is_output_layer=lowest)
+                self.bpdts[left_id] = left
+                spawned.append((left_id, left))
                 if parent.has_na_state:
                     right_id = (level, 2 * pk)
-                    self.bpdts[right_id] = Bpdt(step, right_id,
-                                                is_output_layer=lowest)
+                    right = Bpdt(step, right_id, is_output_layer=lowest)
+                    self.bpdts[right_id] = right
+                    spawned.append((right_id, right))
+            frontier = spawned
 
     # -- tree navigation ---------------------------------------------------
 

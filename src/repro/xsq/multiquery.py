@@ -71,12 +71,10 @@ class MultiQueryEngine:
     name = "multiquery"
 
     def __init__(self, queries: Sequence[Union[str, Query]], obs=None, *,
-                 shared_dispatch: bool = True, cache=None,
-                 codegen: bool = True):
+                 shared_dispatch: bool = True, cache=None):
         if not queries:
             raise ValueError("MultiQueryEngine needs at least one query")
         self.obs = obs
-        self.codegen_enabled = codegen
         if obs is not None:
             with obs.span("compile", engine=self.name, queries=len(queries)):
                 with obs.span("hpdt-compile"):
@@ -110,13 +108,6 @@ class MultiQueryEngine:
                 "repro_dispatch_max_bucket_queries",
                 "largest per-tag fanout in the shared dispatch index",
                 engine=self.name).set(shape["max_bucket"])
-
-    @classmethod
-    def from_union(cls, text: str) -> "MultiQueryEngine":
-        """Removed: use ``repro.compile(text)`` on the union query."""
-        raise DeprecationWarning(
-            "MultiQueryEngine.from_union was removed; use repro.compile() "
-            "which handles union queries directly")
 
     @property
     def query_count(self) -> int:
@@ -185,17 +176,12 @@ class MultiQueryEngine:
                 "%d member(s) outside the fast-path class keep the "
                 "group interpreted" % bad)
             return None
-        if self.codegen_enabled:
-            from repro.xsq.codegen import compile_kernel
-            kernels = []
-            for i, plan in enumerate(plans):
-                kernel, note = compile_kernel(plan)
-                kernels.append(kernel)
-                self.member_kernel_notes[i] = note
-        else:
-            kernels = [None] * len(plans)
-            self.member_kernel_notes = \
-                ["codegen disabled (codegen=False)"] * len(plans)
+        from repro.xsq.codegen import compile_kernel
+        kernels = []
+        for i, plan in enumerate(plans):
+            kernel, note = compile_kernel(plan)
+            kernels.append(kernel)
+            self.member_kernel_notes[i] = note
         routes, default = self.index.id_routes(tags)
         return tags, plans, kernels, routes, default
 
@@ -542,12 +528,6 @@ class MultiQueryEngine:
             sink = []
         sink.extend(value for _, value in tagged)
         return sink
-
-    def run_merged(self, source) -> List[str]:
-        """Removed: use ``repro.compile()`` on a union query instead."""
-        raise DeprecationWarning(
-            "MultiQueryEngine.run_merged was removed; compile the union "
-            "with repro.compile() and call .run()")
 
     def push(self, merged: bool = False):
         """Open a push handle over all member queries for one document.

@@ -1,5 +1,5 @@
 """The repro.compile() facade, the HPDT compile cache, and the
-deprecation shims around the old entry points."""
+removal of the old entry points."""
 
 import warnings
 
@@ -30,15 +30,19 @@ class TestCompileFacade:
         assert q.run(XML) == ["<name>N</name>"]
         assert "fast path not selected" not in q.explain()
 
-    def test_codegen_escape_hatch_pins_slot_interpreter(self):
-        q = repro.compile("/pub/book/name/text()", codegen=False)
-        assert isinstance(q.engine, XSQEngineFast)
-        assert q.engine.kernel is None
-        assert "codegen disabled" in q.explain()
-        assert q.run(XML) == ["N"]
+    def test_codegen_option_removed(self):
+        # One compiled runtime: no kernel-off switch, no separate
+        # "codegen" engine name ("fast" is the compiled tier).
+        with pytest.raises(TypeError):
+            repro.compile("/pub/book/name/text()", codegen=True)
+        with pytest.raises(TypeError):
+            XSQEngineFast("/pub/book/name/text()", codegen=True)
+        with pytest.raises(ValueError):
+            repro.compile("/pub/book/name/text()", engine="codegen")
 
     def test_forced_codegen_engine(self):
-        q = repro.compile("/pub/book/name/text()", engine="codegen")
+        # "fast" forces the compiled tier, which always runs a kernel.
+        q = repro.compile("/pub/book/name/text()", engine="fast")
         assert q.engine.kernel is not None
         assert "generated kernel" in q.explain()
         assert q.run(XML) == ["N"]
@@ -246,23 +250,27 @@ class TestHpdtCache:
 
 
 class TestDeprecations:
-    """The PR-2 shims are gone: each raises pointing at its replacement."""
+    """The old entry points are gone; using one raises like any
+    missing name or keyword."""
 
     def test_run_merged_raises(self):
         engine = MultiQueryEngine(["/a/text()"])
-        with pytest.raises(DeprecationWarning, match="repro.compile"):
+        assert not hasattr(engine, "run_merged")
+        with pytest.raises(AttributeError):
             engine.run_merged("<a>x</a>")
         # The replacement: compile the union text.
-        assert repro.compile("/a/text()").run("<a>x</a>") == ["x"]
+        assert repro.compile("/r/a/text() | /r/b/text()").run(
+            "<r><b>2</b><a>1</a></r>") == ["2", "1"]
 
     def test_from_union_raises(self):
-        with pytest.raises(DeprecationWarning, match="repro.compile"):
+        assert not hasattr(MultiQueryEngine, "from_union")
+        with pytest.raises(AttributeError):
             MultiQueryEngine.from_union("/r/a/text() | /r/b/text()")
 
     def test_trace_kwarg_raises(self):
-        with pytest.raises(DeprecationWarning, match="Observability"):
+        with pytest.raises(TypeError):
             XSQEngine("/a/text()", trace=True)
-        with pytest.raises(DeprecationWarning, match="Observability"):
+        with pytest.raises(TypeError):
             XSQEngineNC("/a/text()", trace=True)
 
     def test_new_paths_do_not_warn(self):

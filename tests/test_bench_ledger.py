@@ -25,17 +25,17 @@ def throughput_artifact():
             {"dataset": "shake", "query": "//LINE/text()",
              "target_bytes": 1000000, "mbytes": 1.0,
              "engines": {
-                 "fast": {"engine": "xsq-fast", "seconds": 0.10,
-                          "mb_per_s": 10.0, "results": 5},
+                 "codegen": {"engine": "xsq-fast", "seconds": 0.10,
+                             "mb_per_s": 10.0, "results": 5},
                  "f": {"engine": "xsq-f", "seconds": 0.50,
                        "mb_per_s": 2.0, "results": 5},
              },
-             "fast_speedup_vs_interpreted": 5.0},
+             "codegen_speedup_vs_interpreted": 5.0},
             {"dataset": "nasa", "query": "//dataset/title/text()",
              "target_bytes": 2000000, "mbytes": 2.0,
              "engines": {
-                 "fast": {"engine": "xsq-fast", "seconds": 0.20,
-                          "mb_per_s": 10.0, "results": 3},
+                 "codegen": {"engine": "xsq-fast", "seconds": 0.20,
+                             "mb_per_s": 10.0, "results": 3},
              }},
         ],
     }
@@ -74,7 +74,7 @@ class TestDirectionAndFlatten:
     def test_metric_direction(self):
         assert metric_direction("mb_per_s")
         assert metric_direction("docs_per_s")
-        assert metric_direction("fast_speedup_vs_interpreted")
+        assert metric_direction("codegen_speedup_vs_interpreted")
         assert not metric_direction("seconds")
         assert not metric_direction("peak_bytes")
         assert not metric_direction("delay_max")
@@ -95,10 +95,10 @@ class TestDirectionAndFlatten:
 
     def test_flatten_throughput_keys(self):
         rows = flatten(throughput_artifact())
-        assert rows[("shake@1000000", "fast.seconds")] == 0.10
+        assert rows[("shake@1000000", "codegen.seconds")] == 0.10
         assert rows[("shake@1000000", "f.mb_per_s")] == 2.0
-        assert rows[("shake@1000000", "fast_speedup_vs_interpreted")] == 5.0
-        assert ("nasa@2000000", "fast.mb_per_s") in rows
+        assert rows[("shake@1000000", "codegen_speedup_vs_interpreted")] == 5.0
+        assert ("nasa@2000000", "codegen.mb_per_s") in rows
 
     def test_flatten_memory_keys(self):
         rows = flatten(memory_artifact())
@@ -141,25 +141,25 @@ class TestDiff:
 
     def test_regression_beyond_threshold_flagged(self):
         new = throughput_artifact()
-        new["workloads"][0]["engines"]["fast"]["mb_per_s"] = 5.0  # -50%
-        new["workloads"][0]["engines"]["fast"]["seconds"] = 0.20  # +100%
+        new["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 5.0  # -50%
+        new["workloads"][0]["engines"]["codegen"]["seconds"] = 0.20  # +100%
         result = diff_artifacts(throughput_artifact(), new)
         assert not result.ok
         flagged = {(d.workload, d.metric) for d in result.regressions}
-        assert ("shake@1000000", "fast.mb_per_s") in flagged
-        assert ("shake@1000000", "fast.seconds") in flagged
+        assert ("shake@1000000", "codegen.mb_per_s") in flagged
+        assert ("shake@1000000", "codegen.seconds") in flagged
 
     def test_improvement_is_not_a_regression(self):
         new = throughput_artifact()
-        new["workloads"][0]["engines"]["fast"]["mb_per_s"] = 20.0
-        new["workloads"][0]["engines"]["fast"]["seconds"] = 0.05
+        new["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 20.0
+        new["workloads"][0]["engines"]["codegen"]["seconds"] = 0.05
         result = diff_artifacts(throughput_artifact(), new)
         assert result.ok
         assert len(result.improvements) == 2
 
     def test_within_threshold_not_flagged(self):
         new = throughput_artifact()
-        new["workloads"][0]["engines"]["fast"]["mb_per_s"] = 9.0  # -10%
+        new["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 9.0  # -10%
         result = diff_artifacts(throughput_artifact(), new,
                                 threshold=DEFAULT_THRESHOLD)
         assert result.ok and not result.improvements
@@ -169,14 +169,14 @@ class TestDiff:
         new["workloads"].pop()  # nasa disappears
         result = diff_artifacts(throughput_artifact(), new)
         assert not result.ok
-        assert ("nasa@2000000", "fast.seconds") in result.dropped
+        assert ("nasa@2000000", "codegen.seconds") in result.dropped
 
     def test_added_workload_is_informational(self):
         old = throughput_artifact()
         old["workloads"].pop()
         result = diff_artifacts(old, throughput_artifact())
         assert result.ok
-        assert ("nasa@2000000", "fast.mb_per_s") in result.added
+        assert ("nasa@2000000", "codegen.mb_per_s") in result.added
 
     def test_schema_mismatch_reported(self):
         new = throughput_artifact()
@@ -213,11 +213,11 @@ class TestDiff:
 
     def test_render_mentions_regressions(self):
         new = throughput_artifact()
-        new["workloads"][0]["engines"]["fast"]["seconds"] = 1.0
+        new["workloads"][0]["engines"]["codegen"]["seconds"] = 1.0
         result = diff_artifacts(throughput_artifact(), new)
         text = render(result, "old", "new")
         assert "REGRESSED" in text
-        assert "fast.seconds" in text
+        assert "codegen.seconds" in text
 
 
 class TestCli:
@@ -229,7 +229,7 @@ class TestCli:
     def test_check_exits_nonzero_on_regression(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", throughput_artifact())
         bad = throughput_artifact()
-        bad["workloads"][0]["engines"]["fast"]["mb_per_s"] = 4.0
+        bad["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 4.0
         new = self._write(tmp_path, "new.json", bad)
         hist = str(tmp_path / "hist.jsonl")
         rc = diff_main([old, new, "--check", "--history", hist])
@@ -260,7 +260,7 @@ class TestCli:
     def test_without_check_regression_still_exits_zero(self, tmp_path):
         old = self._write(tmp_path, "old.json", throughput_artifact())
         bad = throughput_artifact()
-        bad["workloads"][0]["engines"]["fast"]["mb_per_s"] = 1.0
+        bad["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 1.0
         new = self._write(tmp_path, "new.json", bad)
         rc = diff_main([old, new, "--no-history"])
         assert rc == 0
@@ -274,7 +274,7 @@ class TestCli:
     def test_tighter_threshold_flags_small_move(self, tmp_path):
         old = self._write(tmp_path, "old.json", throughput_artifact())
         near = throughput_artifact()
-        near["workloads"][0]["engines"]["fast"]["mb_per_s"] = 9.0  # -10%
+        near["workloads"][0]["engines"]["codegen"]["mb_per_s"] = 9.0  # -10%
         new = self._write(tmp_path, "new.json", near)
         assert diff_main([old, new, "--check", "--no-history"]) == 0
         assert diff_main([old, new, "--check", "--no-history",

@@ -1,11 +1,13 @@
-"""Generated fast-path kernels (ISSUE 9) and element output corners.
+"""Generated fast-path kernels and element output corners.
 
-Two contracts under test:
+Three contracts under test:
 
-* the codegen tier is invisible: a generated kernel, the slot
-  interpreter it replaces, the interpreted NC engine and the DOM
-  oracle all return the same items (and the engines the same stats) —
-  including on element output, which PR 9 moved onto the fast path;
+* the codegen tier is invisible: a generated kernel, the interpreted
+  XSQ-F and XSQ-NC engines and the DOM oracle all return the same
+  items (and the engines the same stats) — including on element
+  output;
+* generation is total: every plan ``compile_fastplan`` accepts gets a
+  kernel, however many states or transition-row entries it has;
 * element serialization is canonical: CDATA sections, entity
   references, comments/PIs inside the output subtree and mixed content
   all serialize exactly as the interpreted ``EventSerializer`` and the
@@ -17,8 +19,8 @@ import pytest
 
 import repro
 from repro.baselines.dom import build_dom, evaluate
-from repro.errors import FastPathUnsupportedError
-from repro.xsq.codegen import MAX_STATES, compile_kernel, kernel_source
+from repro.xsq.codegen import compile_kernel, kernel_source
+from repro.xsq.engine import XSQEngine
 from repro.xsq.fastpath import XSQEngineFast, compile_fastplan
 from repro.xsq.nc import XSQEngineNC
 
@@ -43,15 +45,21 @@ ELEMENT_QUERIES = ["/pub/book/name", "/pub/book", "/pub/book[author]",
                    "/pub/*/name"]
 
 
-def all_engine_results(query, doc):
-    """(codegen, interpreted-fast, nc, dom) result lists for ``query``."""
+def all_engine_results(query, doc, check_stats=False):
+    """(codegen, xsq-f, xsq-nc, dom) result lists for ``query``.
+
+    With ``check_stats`` the kernel's RunStats must also equal XSQ-F's
+    and XSQ-NC's field for field.
+    """
     codegen = repro.compile(query, engine="fast")
-    interp = XSQEngineFast(query, codegen=False)
-    assert interp.kernel is None
-    results = (codegen.run(doc), interp.run(doc),
-               XSQEngineNC(query).run(doc),
-               evaluate(build_dom(doc), query))
     assert codegen.engine.kernel is not None
+    f = XSQEngine(query)
+    nc = XSQEngineNC(query)
+    results = (codegen.run(doc), f.run(doc), nc.run(doc),
+               evaluate(build_dom(doc), query))
+    if check_stats:
+        assert (codegen.stats.as_dict() == f.stats.as_dict()
+                == nc.stats.as_dict()), query
     return results
 
 
@@ -59,8 +67,8 @@ class TestElementOutputCorners:
     @pytest.mark.parametrize("doc", CORNER_DOCS)
     @pytest.mark.parametrize("query", ELEMENT_QUERIES)
     def test_four_way_agreement(self, query, doc):
-        codegen, interp, nc, dom = all_engine_results(query, doc)
-        assert codegen == interp == nc == dom
+        codegen, f, nc, dom = all_engine_results(query, doc)
+        assert codegen == f == nc == dom
 
     def test_cdata_re_escaped_not_spliced(self):
         got = repro.compile("/pub/book/name").run(DOC_CDATA)
@@ -102,11 +110,16 @@ class TestKernelGeneration:
         runtime = engine.push()._runtime
         assert "run_batch" in runtime.__dict__
 
-    def test_codegen_off_leaves_interpreter(self):
-        engine = XSQEngineFast("/pub/book/name/text()", codegen=False)
-        assert engine.kernel is None
-        runtime = engine.push()._runtime
-        assert "run_batch" not in runtime.__dict__
+    def test_runtime_requires_and_binds_kernel(self):
+        from repro.xsq.fastpath import FastRuntime
+        engine = XSQEngineFast("/pub/book/name/text()")
+        with pytest.raises(TypeError):
+            FastRuntime(engine.plan, engine.hpdt, [])
+        runtime = FastRuntime(engine.plan, engine.hpdt, [],
+                              kernel=engine.kernel)
+        assert runtime.run_batch.__func__ is engine.kernel
+        # The kernel is the only loop: the class defines none.
+        assert not hasattr(FastRuntime, "run_batch")
 
     def test_kernel_source_is_inspectable(self):
         engine = XSQEngineFast("/pub/book/name/text()")
@@ -121,29 +134,66 @@ class TestKernelGeneration:
         first = compile_kernel(plan)
         assert compile_kernel(plan) is first
 
-    def test_deep_query_rejected_cleanly(self):
-        deep = "/" + "/".join("s%d" % i for i in range(MAX_STATES + 1))
-        engine = XSQEngineFast(deep + "/text()")
-        assert engine.kernel is None
-        assert "states" in engine.kernel_note
-        # ...but the slot interpreter still runs it.
-        doc = "".join("<s%d>" % i for i in range(MAX_STATES + 1))
-        doc += "x" + "".join("</s%d>" % i
-                             for i in reversed(range(MAX_STATES + 1)))
+    def test_deep_query_gets_kernel(self):
+        # 25 states: one past the old unroll limit of 24.
+        deep = "/" + "/".join("s%d" % i for i in range(24)) + "/text()"
+        engine = XSQEngineFast(deep)
+        assert engine.kernel is not None
+        assert "25 states" in engine.kernel_note
+        doc = "".join("<s%d>" % i for i in range(24))
+        doc += "x" + "".join("</s%d>" % i for i in reversed(range(24)))
         assert engine.run(doc) == ["x"]
-
-    def test_forced_codegen_raises_on_rejection(self):
-        deep = "/" + "/".join("s%d" % i for i in range(MAX_STATES + 1))
-        with pytest.raises(FastPathUnsupportedError) as info:
-            repro.compile(deep + "/text()", engine="codegen")
-        assert info.value.reason == "codegen-rejected"
 
     def test_explain_names_the_kernel(self):
         explain = repro.compile("/pub/book/name/text()").explain()
-        assert "generated kernel" in explain
-        off = repro.compile("/pub/book/name/text()",
-                            codegen=False).explain()
-        assert "codegen disabled" in off
+        assert "kernel: generated kernel" in explain
+
+
+def _deep_path_case(n=4000):
+    """A general-shape path of ``n`` steps: the result buffers under
+    the root's pending ``[k]`` until ``<k/>`` closes the document."""
+    steps = (["s0[k]"] + ["s%d" % i for i in range(1, n - 1)]
+             + ["s%d[@a]" % (n - 1)])
+    last = n - 1
+    doc = ("<s0>" + "".join("<s%d>" % i for i in range(1, last))
+           + '<s%d a="1">deep</s%d><s%d>no-attr</s%d>'
+           % (last, last, last, last)
+           + "".join("</s%d>" % i for i in reversed(range(1, last)))
+           + "<k/></s0>")
+    return "/" + "/".join(steps) + "/text()", doc
+
+
+def _wide_row_case(n=4000):
+    """``n`` category-3 predicates on one step: an ``n``-entry row."""
+    query = "/r/p" + "".join("[c%d]" % i for i in range(n)) + "/text()"
+    doc = ("<r><p>yes" + "".join("<c%d/>" % i for i in reversed(range(n)))
+           + "</p><p>no<c0/><c1/></p></r>")
+    return query, doc
+
+
+def _wide_cat5_case(n=3000):
+    """``n`` category-5 predicates: an ``n``-entry child-text row."""
+    query = ("/r/p" + "".join("[c%d='1']" % i for i in range(n))
+             + "/text()")
+    doc = ("<r><p>yes" + "".join("<c%d>1</c%d>" % (i, i) for i in range(n))
+           + "</p><p>no<c0>1</c0><c1>2</c1></p></r>")
+    return query, doc
+
+
+class TestGenerationIsTotal:
+    """Plans far past any unroll limit still get a kernel that agrees
+    with XSQ-F, XSQ-NC and the DOM oracle, stats included."""
+
+    @pytest.mark.parametrize("case", [_deep_path_case, _wide_row_case,
+                                      _wide_cat5_case],
+                             ids=["4000-step-path", "4000-predicate-row",
+                                  "3000-entry-cat5-row"])
+    def test_large_plan_gets_kernel_and_agrees(self, case):
+        query, doc = case()
+        codegen, f, nc, dom = all_engine_results(query, doc,
+                                                 check_stats=True)
+        assert codegen == f == nc == dom
+        assert codegen in (["deep"], ["yes"])
 
 
 class TestKernelEquivalenceWithStats:
@@ -158,12 +208,13 @@ class TestKernelEquivalenceWithStats:
     @pytest.mark.parametrize("query", QUERIES)
     def test_kernel_matches_interpreter_and_stats(self, query):
         with_kernel = XSQEngineFast(query)
-        without = XSQEngineFast(query, codegen=False)
-        assert with_kernel.run(self.DOC) == without.run(self.DOC)
+        nc = XSQEngineNC(query)
+        assert with_kernel.run(self.DOC) == nc.run(self.DOC)
+        assert with_kernel.run(self.DOC) == XSQEngine(query).run(self.DOC)
         for field in ("emitted", "enqueued", "cleared",
                       "peak_buffered_items", "peak_instances"):
             assert (getattr(with_kernel.stats, field)
-                    == getattr(without.stats, field)), field
+                    == getattr(nc.stats, field)), field
 
 
 class TestPushModeKernels:

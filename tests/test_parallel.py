@@ -196,6 +196,32 @@ class TestFailures:
         assert info.value.source == "the-poison-doc"
         assert "the-poison-doc" in str(info.value)
 
+    def test_clean_exit_with_undrained_done_is_not_a_crash(self):
+        """A worker may write ``done`` and exit between the pool's
+        ``result_queue.empty()`` test and its liveness check; the
+        message is then already in the pipe and must be drained, not
+        reported as a crash with exit code 0."""
+        import multiprocessing
+
+        class ExitedProcess:
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+        pool = TaskPool(None, workers=1)
+        pool._processes = [ExitedProcess()]
+        results = multiprocessing.get_context().SimpleQueue()
+        results.put(("done", 0, {}))
+        pool._check_liveness(set(), {}, {}, {}, results)  # must not raise
+        assert results.get() == ("done", 0, {})
+        pool._check_liveness({0}, {}, {}, {}, results)
+        # The same dead worker with nothing left to drain is a crash.
+        with pytest.raises(WorkerCrashError) as info:
+            pool._check_liveness(set(), {}, {}, {}, results)
+        assert info.value.exitcode == 0
+        results.close()
+
     def test_setup_failure_surfaces(self):
         class BadSetupSpec:
             def setup(self, worker_id):
